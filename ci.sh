@@ -56,13 +56,18 @@ echo "==> chaos soak: crash-point sweep under both thread counts"
 CHOCO_THREADS=1 cargo test -q -p choco-apps --test chaos_sweep
 CHOCO_THREADS=4 cargo test -q -p choco-apps --test chaos_sweep
 
-echo "==> socket chaos: TCP crash/restart sweep + serve e2e"
+echo "==> socket chaos: client-aided chains under kills, cuts and restarts + serve e2e"
 # Real-socket counterpart of the chaos sweep (crates/apps/tests/chaos_tcp.rs):
-# mid-run connection teardowns and full server restarts must redial and
-# resume to bit-identical ciphertexts. serve_e2e covers concurrent
-# admission, typed Overloaded, drain/restart record continuity, and a
-# mid-frame proxy cut.
-cargo test -q -p choco-apps --test chaos_tcp
+# the client-aided chains (conv -> requantize -> FC, PageRank with refresh
+# rounds, K-Means) run one program per step on the remote evaluator; a hard
+# kill at every eval stage and a mid-frame proxy cut, each at the first and
+# the last step, must recover (server restarts over the same eval-journal
+# directory) to outputs bit-identical to the uninterrupted and in-process
+# runs with exact primary billing. Runs under both worker-pool
+# configurations. serve_e2e covers eight concurrent tenants, typed
+# Overloaded with capacity recovery, and a delayed link.
+CHOCO_THREADS=1 cargo test -q -p choco-apps --test chaos_tcp
+CHOCO_THREADS=4 cargo test -q -p choco-apps --test chaos_tcp
 cargo test -q -p choco-serve
 
 echo "==> eval chaos: fault-isolated remote evaluation sweep"
@@ -76,8 +81,10 @@ echo "==> eval chaos: fault-isolated remote evaluation sweep"
 timeout 300 cargo test -q -p choco-apps --test chaos_eval
 
 echo "==> loopback serve smoke: real server process + load generator"
-# Boots the choco-serve binary on an ephemeral port, runs the bench client
-# against it over loopback, then drains it via stdin. The hard timeout
+# Boots the choco-serve binary on an ephemeral port, runs the remote-eval
+# bench clients against it over loopback (--smoke --batch 4), checks the
+# stats JSON line and drains it via stdin; then restarts it over the same
+# eval-journal directory and requires a clean second run. The hard timeout
 # guards CI against a hung accept loop or a drain that never converges.
 timeout 120 ./scripts/serve_smoke.sh
 

@@ -17,16 +17,23 @@
 //! [`CompilerScheme::quantize_const`], so BFV sessions get integer slots
 //! and CKKS sessions get the raw reals — the same client-side quantization
 //! boundary the paper's workloads use.
+//!
+//! [`RemoteWorkload::run_chain`] drives the paper's client-aided loop over
+//! the same session: the server evaluates one [`StepProgram`] per step,
+//! and between steps the client decrypts, applies its non-linear op
+//! (requantize, a PageRank refresh, a K-Means assignment) and re-encrypts.
+//! Run without an evaluator, the identical chain executes in process — the
+//! reference every remote chain must match bit for bit.
 
 use crate::circuits::WorkloadCircuit;
 use choco::compiler::{
-    compile, CompileError, CompiledProgram, CompilerOptions, CompilerScheme, Op,
+    compile, CompileError, CompiledProgram, CompilerOptions, CompilerScheme, Op, Program,
 };
 use choco::remote::{PreparedProgram, RemoteEvaluator};
 use choco::transport::tcp::TcpOptions;
 use choco::transport::{RetryPolicy, TransportError};
 use choco_he::params::{HeParams, SchemeType};
-use choco_he::HeError;
+use choco_he::{HeError, HeScheme};
 use choco_prng::Blake3Rng;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -98,6 +105,35 @@ impl From<HeError> for DriverError {
     }
 }
 
+/// A program one client-aided chain step evaluates: the wire form the
+/// server runs and the compiled twin the in-process reference runs, both
+/// at [`workload_options`].
+pub struct StepProgram {
+    /// The program's wire form + content-addressed reference.
+    pub prepared: PreparedProgram,
+    /// The locally compiled twin.
+    pub compiled: CompiledProgram,
+}
+
+impl StepProgram {
+    /// Prepares and compiles `program` at [`workload_options`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates compile and wire-encoding failures.
+    pub fn new(program: &Program) -> Result<Self, DriverError> {
+        let options = workload_options();
+        Ok(StepProgram {
+            prepared: PreparedProgram::new(program, &options)?,
+            compiled: compile(program, &options)?,
+        })
+    }
+}
+
+/// One step of a client-aided chain: the program and its named encrypted
+/// inputs.
+pub type ChainStep<'p, S> = (&'p StepProgram, Vec<(String, <S as HeScheme>::Ciphertext)>);
+
 /// One workload, fully provisioned for a remote-evaluation session under
 /// scheme `S`: program (wire + compiled twin), session keys, and encrypted
 /// inputs.
@@ -140,8 +176,7 @@ impl<S: CompilerScheme> RemoteWorkload<S> {
         seed: &[u8],
     ) -> Result<Self, DriverError> {
         let options = workload_options();
-        let prepared = PreparedProgram::new(&circuit.program, &options)?;
-        let compiled = compile(&circuit.program, &options)?;
+        let StepProgram { prepared, compiled } = StepProgram::new(&circuit.program)?;
         let ctx = S::context(params)?;
         let mut rng = Blake3Rng::from_seed(seed);
         let keys = S::keygen(&ctx, &mut rng);
@@ -184,30 +219,70 @@ impl<S: CompilerScheme> RemoteWorkload<S> {
             .collect()
     }
 
-    /// Executes the compiled program locally on the same encrypted inputs
-    /// — the bit-identity reference for the remote path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates execution failures.
-    pub fn local_outputs(&self) -> Result<Vec<S::Ciphertext>, HeError> {
-        let named: HashMap<String, S::Ciphertext> = self.inputs.iter().cloned().collect();
-        let prog = &self.compiled;
-        // choco-lint: allow(VERIFY001) `prog` comes straight out of compile() in prepare()
-        prog.execute_encrypted::<S>(&self.ctx, &named, &self.relin, &self.galois)
+    /// Executes `compiled` in process on `inputs` under this session's
+    /// evaluation keys.
+    fn execute_local(
+        &self,
+        compiled: &CompiledProgram,
+        inputs: &HashMap<String, S::Ciphertext>,
+    ) -> Result<Vec<S::Ciphertext>, HeError> {
+        // choco-lint: allow(VERIFY001) every program here comes out of compile() in StepProgram::new
+        compiled.execute_encrypted::<S>(&self.ctx, inputs, &self.relin, &self.galois)
     }
 
-    /// The local reference outputs as ciphertext wire bytes.
+    /// Executes the compiled program locally on the same encrypted inputs
+    /// — the bit-identity reference for the remote path — and returns the
+    /// outputs as ciphertext wire bytes.
     ///
     /// # Errors
     ///
     /// Propagates execution failures.
     pub fn local_output_wires(&self) -> Result<Vec<Vec<u8>>, HeError> {
+        let named: HashMap<String, S::Ciphertext> = self.inputs.iter().cloned().collect();
         Ok(self
-            .local_outputs()?
+            .execute_local(&self.compiled, &named)?
             .iter()
             .map(|ct| S::ct_to_wire(ct))
             .collect())
+    }
+
+    /// Runs a client-aided chain under this session's keys. Evaluates
+    /// `first`, hands its outputs to `client` — which decrypts, applies the
+    /// non-linear op and re-encrypts with seeded randomness — and evaluates
+    /// the step `client` returns, until it returns `None`. With an
+    /// evaluator every step runs on the server (a session opened with
+    /// [`RemoteWorkload::connect_reliable`] absorbs server loss inside the
+    /// step); with `None` every step runs in process, which is the
+    /// bit-identity reference. Returns each step's output ciphertext wire
+    /// bytes.
+    ///
+    /// # Errors
+    ///
+    /// Propagates transport errors, typed server refusals, local execution
+    /// failures, and the client closure's errors.
+    pub fn run_chain<'p>(
+        &self,
+        mut remote: Option<&mut RemoteEvaluator<S>>,
+        first: ChainStep<'p, S>,
+        mut client: impl FnMut(&[S::Ciphertext]) -> Result<Option<ChainStep<'p, S>>, TransportError>,
+    ) -> Result<Vec<Vec<Vec<u8>>>, TransportError> {
+        let mut wires = Vec::new();
+        let mut step = Some(first);
+        while let Some((program, inputs)) = step {
+            let outputs = match remote.as_deref_mut() {
+                Some(evaluator) => {
+                    let refs: Vec<(&str, &S::Ciphertext)> = inputs
+                        .iter()
+                        .map(|(name, ct)| (name.as_str(), ct))
+                        .collect();
+                    evaluator.evaluate(&program.prepared, &refs)?
+                }
+                None => self.execute_local(&program.compiled, &inputs.into_iter().collect())?,
+            };
+            wires.push(outputs.iter().map(|ct| S::ct_to_wire(ct)).collect());
+            step = client(&outputs)?;
+        }
+        Ok(wires)
     }
 
     /// Opens a fault-tolerant evaluator session for this workload:

@@ -40,7 +40,7 @@ use crate::pipeline::{max_pool2x2, requantize, LenetLikeSpec, LenetLikeWeights};
 use choco::linalg::{accumulate_channels, matvec_diagonals, replicate_for_matvec, stacked_conv};
 use choco::rotation::RedundantLayout;
 use choco::stacking::StackedLayout;
-use choco::transport::{Channel, Redialer, Session, TcpChannel, TransportError};
+use choco::transport::{Channel, Session, TransportError};
 use choco_he::{Bfv, Ckks, HeError, HeScheme};
 use std::marker::PhantomData;
 
@@ -979,83 +979,6 @@ impl ResumableWorkload for ResumableKmeans {
     fn final_ct_wire(&self) -> &[u8] {
         &self.final_wire
     }
-}
-
-/// Whether a step failure means "the link died — redial and resume" (as
-/// opposed to a protocol or HE error that a reconnect cannot fix).
-///
-/// Over a real socket, a dead connection surfaces either directly as
-/// [`TransportError::Disconnected`] or laundered through the session's
-/// retry machinery as [`TransportError::RetriesExhausted`] /
-/// [`TransportError::TimeoutExceeded`] (the sticky socket error makes
-/// every remaining attempt see a dry pipe).
-pub fn is_reconnectable(e: &TransportError) -> bool {
-    matches!(
-        e,
-        TransportError::Disconnected(_)
-            | TransportError::RetriesExhausted { .. }
-            | TransportError::TimeoutExceeded { .. }
-    )
-}
-
-/// Drives a resumable workload over a real TCP session to completion,
-/// absorbing link failures: every successful step refreshes the client's
-/// checkpoint, and when the link dies the client redials (with the
-/// [`Redialer`]'s bounded backoff), rebuilds the session with
-/// [`Session::resume`] (the reconnect handshake is billed to
-/// [`choco::CommLedger::recovery_bytes`]), restores the workload from the
-/// checkpointed progress blob and runs its `recover` hook.
-///
-/// `restore` maps a progress blob back to a workload; `step` advances it
-/// by one step; `recover` re-establishes server-side state after a resume
-/// (pass a no-op for workloads that keep no ciphertext resident
-/// server-side).
-///
-/// # Errors
-///
-/// The last step error once `max_reconnects` redials have been spent, any
-/// non-reconnectable step error, and redial/resume/restore failures.
-pub fn drive_over_tcp<S, W, R, T, V>(
-    redialer: &Redialer,
-    session: Session<S, TcpChannel>,
-    workload: W,
-    restore: R,
-    step: T,
-    recover: V,
-    max_reconnects: u32,
-) -> Result<(Session<S, TcpChannel>, W), TransportError>
-where
-    S: HeScheme,
-    W: ResumableWorkload,
-    R: Fn(&[u8]) -> Result<W, TransportError>,
-    T: Fn(&mut W, &mut Session<S, TcpChannel>) -> Result<(), TransportError>,
-    V: Fn(&mut W, &mut Session<S, TcpChannel>) -> Result<(), TransportError>,
-{
-    let mut session = session;
-    let mut workload = workload;
-    let mut ck = session.checkpoint(&workload.progress());
-    let mut reconnects = 0u32;
-    while !workload.is_done() {
-        match step(&mut workload, &mut session) {
-            Ok(()) => ck = session.checkpoint(&workload.progress()),
-            Err(e) if is_reconnectable(&e) => {
-                if reconnects >= max_reconnects {
-                    return Err(e);
-                }
-                reconnects += 1;
-                // Drop the dead session first: closing its socket before
-                // redialing keeps the server's admission count honest.
-                drop(session);
-                let (up, down) = redialer.redial()?;
-                let (resumed, progress) = Session::<S, TcpChannel>::resume(&ck, up, down)?;
-                session = resumed;
-                workload = restore(&progress)?;
-                recover(&mut workload, &mut session)?;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok((session, workload))
 }
 
 #[cfg(test)]

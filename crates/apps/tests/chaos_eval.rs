@@ -2,9 +2,10 @@
 //! poison-job isolation, deadline shedding, and circuit-breaker recovery —
 //! all over real loopback TCP.
 //!
-//! `chaos_tcp.rs` proves the relay protocol survives socket loss. This
-//! suite proves the *remote-evaluation* protocol survives the server
-//! process dying mid-batch, at every stage of a request's life:
+//! `chaos_tcp.rs` proves multi-step client-aided chains survive kills and
+//! socket loss at their first and last steps. This suite proves a single
+//! pipelined batch survives the server process dying mid-batch, at every
+//! stage of a request's life:
 //!
 //! * **Accept** — journaled but never scheduled;
 //! * **Coalesce** — queued, died in the batching window;
@@ -244,10 +245,7 @@ fn kill_sweep<S: choco::compiler::CompilerScheme>(scheme: SchemeType, label: &st
             stats_b.eval.journal.reported_dead >= 1,
             "{point}: successor reported no dead requests"
         );
-        assert!(
-            stats_b.sessions.iter().all(|r| r.bad_frames == 0),
-            "{point}: successor saw bad frames"
-        );
+        assert_eq!(stats_b.bad_frames, 0, "{point}: successor saw bad frames");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -22,8 +22,8 @@
 //!
 //! Every message is carried inside the session's keyed-BLAKE3 frame format
 //! ([`FrameKind::EvalRequest`] / [`FrameKind::EvalResponse`]), so
-//! integrity, authentication, and duplicate accounting are inherited from
-//! the relay transport unchanged. All decoders are total: truncated,
+//! integrity and authentication come from the frame layer unchanged. All
+//! decoders are total: truncated,
 //! bit-flipped, oversized, or cross-scheme inputs surface as typed
 //! [`TransportError`]s, never panics.
 
@@ -436,7 +436,7 @@ impl PreparedProgram {
 // Messages
 // ---------------------------------------------------------------------------
 
-/// The one-time key upload that turns an admitted relay connection into an
+/// The one-time key upload that turns an admitted connection into an
 /// evaluation session.
 #[derive(Debug, Clone)]
 pub struct SessionSetup {
@@ -1261,8 +1261,8 @@ impl<S: CompilerScheme> RemoteEvaluator<S> {
                     Err(e) => return Err(e),
                 }
             }
-            match self.read_response() {
-                Ok(resp) => match coll.absorb(resp)? {
+            match self.read_frame() {
+                Ok((resp, len)) => match self.absorb_billed(&mut coll, resp, len, recoveries)? {
                     Absorbed::Done { slot, outputs } => {
                         let cts = outputs
                             .iter()
@@ -1454,7 +1454,38 @@ impl<S: CompilerScheme> RemoteEvaluator<S> {
         self.read_response_billed(Bill::Download)
     }
 
+    /// Absorbs one batch response, billing it as a download — except a
+    /// `NeedProgram` answer after a reconnect: the peer may be a restarted
+    /// server with a cold cache, so that answer is recovery traffic the
+    /// uninterrupted run never saw.
+    fn absorb_billed(
+        &mut self,
+        coll: &mut BatchCollector,
+        resp: EvalResponse,
+        len: usize,
+        recoveries: u32,
+    ) -> Result<Absorbed, TransportError> {
+        let absorbed = coll.absorb(resp)?;
+        if recoveries > 0 && matches!(absorbed, Absorbed::ResendWithProgram { .. }) {
+            self.ledger.record_recovery(len);
+        } else {
+            self.ledger.record_download(len);
+        }
+        Ok(absorbed)
+    }
+
     fn read_response_billed(&mut self, bill: Bill) -> Result<EvalResponse, TransportError> {
+        let (resp, len) = self.read_frame()?;
+        match bill {
+            Bill::Download => self.ledger.record_download(len),
+            Bill::Recovery => self.ledger.record_recovery(len),
+            Bill::Upload | Bill::Retransmit => {}
+        }
+        Ok(resp)
+    }
+
+    /// Reads one `EvalResponse` frame (unbilled) and its payload length.
+    fn read_frame(&mut self) -> Result<(EvalResponse, usize), TransportError> {
         let wire = self.io.read_blob(self.opts.recv_deadline_ms)?.ok_or(
             TransportError::TimeoutExceeded {
                 budget_ms: self.opts.recv_deadline_ms,
@@ -1468,12 +1499,10 @@ impl<S: CompilerScheme> RemoteEvaluator<S> {
                 frame.kind
             )));
         }
-        match bill {
-            Bill::Download => self.ledger.record_download(frame.payload.len()),
-            Bill::Recovery => self.ledger.record_recovery(frame.payload.len()),
-            Bill::Upload | Bill::Retransmit => {}
-        }
-        EvalResponse::from_wire(&frame.payload)
+        Ok((
+            EvalResponse::from_wire(&frame.payload)?,
+            frame.payload.len(),
+        ))
     }
 }
 

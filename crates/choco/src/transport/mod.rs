@@ -48,7 +48,7 @@ pub use checkpoint::SessionCheckpoint;
 pub use fault::{FaultPlan, FaultStats, FaultyChannel};
 pub use frame::{Frame, FrameKind, TagKey};
 pub use session::{CrashOp, CrashPlan, LinkConfig, RetryPolicy, Session};
-pub use tcp::{dial, HelloStatus, Redialer, TcpChannel, MAX_FRAME_BYTES};
+pub use tcp::{HelloStatus, Redialer, MAX_FRAME_BYTES};
 
 use choco_he::HeError;
 

@@ -1,21 +1,17 @@
 //! `choco-serve-bench` — loopback load generator for `choco-serve`.
 //!
 //! Spawns N concurrent clients against one server (in-process by default,
-//! or an external one via `--addr`). Each client runs the paper's four
-//! workload kinds round-robin over real TCP sessions — PageRank (BFV),
-//! a conv layer (BFV), the LeNet-like pipeline (BFV) and K-Means (CKKS) —
-//! and reports wall-clock percentiles per kind plus server-side totals as
-//! JSON (`--json PATH`, e.g. the committed `BENCH_serve.json`).
-//!
-//! With `--batch N` the bench switches to the remote-evaluation protocol:
-//! each client uploads its evaluation keys once, warms the server's
-//! program/operand caches, then alternates measured **sequential** rounds
-//! (N evaluate requests, one blocking round trip each) against measured
-//! **batched** rounds (one pipelined `evaluate_batch` of N that the server
-//! coalesces into a single kernel dispatch). The report records per-round
-//! latency percentiles, request throughput for both modes, and their
-//! ratio (`speedup`), plus the server's cache counters — steady-state
-//! rounds show zero compiles and zero operand encodes.
+//! or an external one via `--addr`). Each client uploads its evaluation
+//! keys once, warms the server's program/operand caches, then alternates
+//! measured **sequential** rounds (`--batch N` evaluate requests, one
+//! blocking round trip each) against measured **batched** rounds (one
+//! pipelined `evaluate_batch` of N that the server coalesces into a single
+//! kernel dispatch). The report records per-round latency percentiles,
+//! request throughput for both modes, and their ratio (`speedup`), plus
+//! the server's cache counters — steady-state rounds show zero compiles
+//! and zero operand encodes — and the host it ran on (nproc, SIMD
+//! backend, `CHOCO_THREADS`, git rev), as JSON (`--json PATH`, e.g. the
+//! committed `BENCH_serve.json`).
 //!
 //! With `--faults` the bench additionally measures the fault-isolation
 //! machinery under injected evaluation faults: per round it boots a fresh
@@ -31,16 +27,9 @@
 
 use choco::remote::RemoteEvaluator;
 use choco::transport::tcp::TcpOptions;
-use choco::transport::{Redialer, RetryPolicy, Session, TcpChannel};
-use choco_apps::distance::{distance_rotation_steps, PackingVariant};
-use choco_apps::pagerank::{pagerank_rotation_steps, Graph};
-use choco_apps::pipeline::{all_rotation_steps, seeded_weights, LenetLikeSpec};
 use choco_apps::remote::{workload_params, RemoteWorkload};
-use choco_apps::resumable::{
-    drive_over_tcp, ResumableConvLayer, ResumableKmeans, ResumablePagerank, ResumablePipeline,
-};
-use choco_he::params::{HeParams, SchemeType};
-use choco_he::{Bfv, Ckks, HeScheme};
+use choco_he::params::SchemeType;
+use choco_he::{Bfv, HeScheme};
 use choco_serve::{EvalChaos, OffloadServer, ServeConfig, ServeStats, TenantRegistry};
 use std::time::Instant;
 
@@ -53,22 +42,20 @@ USAGE:
 
 OPTIONS:
   --clients N   concurrent client threads (default 8)
-  --reps N      workload runs per client (default 3)
+  --reps N      measured rounds per client and mode (default 3)
   --addr A      benchmark an external choco-serve (tenants must be
-                registered as ID=serve-bench tenant ID); default is an
+                registered as ID=serve-bench-tenant-ID); default is an
                 in-process server
   --json PATH   write the report as JSON to PATH (default: stdout only)
-  --batch N     remote-evaluation mode: compare N sequential evaluate
-                round trips per round against one pipelined batch of N
-                (the PageRank circuit under BFV), report both latency
-                distributions and the throughput speedup
+  --batch N     compare N sequential evaluate round trips per round
+                against one pipelined batch of N (the PageRank circuit
+                under BFV; default 4), report both latency distributions
+                and the throughput speedup
   --faults      fault-injection phase against dedicated in-process chaos
                 servers: per-kind latency percentiles for a clean round,
                 a bisected poison fault, and a shed-and-retried deadline,
                 asserting zero wrong results
   --smoke       tiny run (2 clients x 1 rep) for CI";
-
-const KINDS: [&str; 4] = ["pagerank_bfv", "conv_bfv", "pipeline_bfv", "kmeans_ckks"];
 
 fn fail(msg: &str) -> ! {
     eprintln!("choco-serve-bench: {msg}\n\n{USAGE}");
@@ -81,146 +68,6 @@ fn tenant_seed(tenant: u64) -> String {
 
 fn err_str(e: impl std::fmt::Display) -> String {
     e.to_string()
-}
-
-/// One workload run over its own TCP session. Returns an error string on
-/// failure (the bench reports failures, it does not panic).
-fn run_workload(kind: usize, addr: &str, tenant: u64, session_id: u64) -> Result<(), String> {
-    let seed = tenant_seed(tenant);
-    let redialer = Redialer::new(addr, seed.as_bytes(), tenant, session_id);
-    let dial = |r: &Redialer| r.dial_fresh().map_err(err_str);
-    match kind {
-        0 => {
-            let g = Graph::from_adjacency(&[vec![1, 2], vec![2], vec![0], vec![0, 2]]);
-            let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 24).map_err(err_str)?;
-            let steps = pagerank_rotation_steps(g.len());
-            let (up, down) = dial(&redialer)?;
-            let session = Session::<Bfv, TcpChannel>::over(
-                &params,
-                seed.as_bytes(),
-                &steps,
-                up,
-                down,
-                RetryPolicy::default(),
-            )
-            .map_err(err_str)?;
-            let w = ResumablePagerank::<Bfv>::new(&g, 0.85, 4, 2, 10).map_err(err_str)?;
-            drive_over_tcp(
-                &redialer,
-                session,
-                w,
-                |p| ResumablePagerank::<Bfv>::restore(&g, 0.85, 4, 2, 10, p),
-                |w, s| w.step(s),
-                |_, _| Ok(()),
-                2,
-            )
-            .map_err(err_str)?;
-        }
-        1 => {
-            let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 18).map_err(err_str)?;
-            let input: Vec<Vec<u64>> = vec![(0..64).map(|i| (i * 5 + 1) % 16).collect()];
-            let weights: Vec<Vec<Vec<u64>>> = (0..2)
-                .map(|c| vec![(0..9).map(|i| ((i + c * 3) % 16) as u64).collect()])
-                .collect();
-            let steps = choco_apps::dnn::conv_rotation_steps(1, 8, 8, 3);
-            let (up, down) = dial(&redialer)?;
-            let session = Session::<Bfv, TcpChannel>::over(
-                &params,
-                seed.as_bytes(),
-                &steps,
-                up,
-                down,
-                RetryPolicy::default(),
-            )
-            .map_err(err_str)?;
-            let w = ResumableConvLayer::new(&input, &weights, 8, 8, 3).map_err(err_str)?;
-            drive_over_tcp(
-                &redialer,
-                session,
-                w,
-                |p| ResumableConvLayer::restore(&input, &weights, 8, 8, 3, p),
-                |w, s| w.step(s),
-                |w, s| w.recover(s),
-                2,
-            )
-            .map_err(err_str)?;
-        }
-        2 => {
-            let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 18).map_err(err_str)?;
-            let spec = LenetLikeSpec::tiny();
-            let weights = seeded_weights(&spec, b"serve-bench pipe");
-            let image: Vec<u64> = (0..spec.img * spec.img)
-                .map(|i| ((i * 7 + 3) % 16) as u64)
-                .collect();
-            let steps = all_rotation_steps(&spec, params.degree() / 2);
-            let (up, down) = dial(&redialer)?;
-            let session = Session::<Bfv, TcpChannel>::over(
-                &params,
-                seed.as_bytes(),
-                &steps,
-                up,
-                down,
-                RetryPolicy::default(),
-            )
-            .map_err(err_str)?;
-            let w = ResumablePipeline::new(&spec, &weights, &image).map_err(err_str)?;
-            drive_over_tcp(
-                &redialer,
-                session,
-                w,
-                |p| ResumablePipeline::restore(&spec, &weights, &image, p),
-                |w, s| w.step(s),
-                |_, _| Ok(()),
-                2,
-            )
-            .map_err(err_str)?;
-        }
-        _ => {
-            let params = HeParams::ckks_insecure(1024, &[45, 45, 45, 46], 38).map_err(err_str)?;
-            let points = vec![
-                vec![0.0, 0.1, 0.0, 0.0],
-                vec![0.1, 0.0, 0.1, 0.1],
-                vec![0.05, 0.05, 0.0, 0.1],
-                vec![2.0, 2.1, 2.0, 1.9],
-                vec![2.1, 2.0, 1.9, 2.0],
-                vec![1.9, 1.9, 2.1, 2.1],
-            ];
-            let init = vec![vec![0.5; 4], vec![1.5; 4]];
-            let steps = distance_rotation_steps(4, points.len(), 512);
-            let (up, down) = dial(&redialer)?;
-            let session = Session::<Ckks, TcpChannel>::over(
-                &params,
-                seed.as_bytes(),
-                &steps,
-                up,
-                down,
-                RetryPolicy::default(),
-            )
-            .map_err(err_str)?;
-            let w = ResumableKmeans::new(PackingVariant::DimensionMajor, &points, &init, 2, 1e-6)
-                .map_err(err_str)?;
-            drive_over_tcp(
-                &redialer,
-                session,
-                w,
-                |p| {
-                    ResumableKmeans::restore(
-                        PackingVariant::DimensionMajor,
-                        &points,
-                        &init,
-                        2,
-                        1e-6,
-                        p,
-                    )
-                },
-                |w, s| w.step(s),
-                |_, _| Ok(()),
-                2,
-            )
-            .map_err(err_str)?;
-        }
-    }
-    Ok(())
 }
 
 fn percentile(sorted_ms: &[u64], pct: u64) -> u64 {
@@ -270,13 +117,11 @@ fn run_batch_client(
     let params = workload_params(SchemeType::Bfv).map_err(err_str)?;
     let seed = tenant_seed(tenant);
     let w = RemoteWorkload::<Bfv>::prepare(circuit, &params, seed.as_bytes()).map_err(err_str)?;
-    // Session ids above the relay phase's rep counter, so a combined run
-    // gives the eval connection its own dedup cursor.
     let mut client = RemoteEvaluator::<Bfv>::connect(
         addr,
         seed.as_bytes(),
         tenant,
-        10_000,
+        0,
         &w.params,
         &w.relin,
         &w.galois,
@@ -333,8 +178,8 @@ fn mode_json(label: &str, ms: &mut [u64], requests_per_round: u64) -> (String, f
     (json, throughput)
 }
 
-/// The `--batch N` phase: remote evaluation, sequential vs pipelined,
-/// against the already-running server. Returns the `remote_eval` JSON
+/// The batch phase: remote evaluation, sequential vs pipelined, against
+/// the already-running server. Returns the `remote_eval` JSON
 /// section and the number of failed clients.
 fn run_batch_phase(clients: usize, reps: u64, batch: usize, addr: &str) -> (String, u64) {
     let wall = Instant::now();
@@ -602,16 +447,50 @@ fn server_json(stats: &ServeStats) -> String {
     let total = stats.book.combined();
     format!(
         "  \"server\": {{ \"accepted\": {}, \"resumed\": {}, \"rejected_overload\": {}, \
-         \"tenants\": {}, \"fresh_frames\": {}, \"fresh_payload_bytes\": {}, \
-         \"retransmit_bytes\": {}, \"sessions\": {} }}",
+         \"bad_frames\": {}, \"tenants\": {}, \"requests\": {}, \"upload_bytes\": {}, \
+         \"responses\": {}, \"download_bytes\": {} }}",
         stats.accepted,
         stats.resumed,
         stats.rejected_overload,
+        stats.bad_frames,
         stats.book.tenants(),
         total.uploads,
         total.upload_bytes,
-        total.retransmit_bytes,
-        stats.sessions.len(),
+        total.downloads,
+        total.download_bytes,
+    )
+}
+
+/// The commit of the checkout the bench runs in (`-dirty` when the tree
+/// has uncommitted changes), or `unknown` outside a git checkout.
+fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args([
+            "describe",
+            "--always",
+            "--dirty",
+            "--abbrev=40",
+            "--exclude=*",
+        ])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |rev| rev.trim().to_string())
+}
+
+/// Where the numbers came from: core count, SIMD backend, thread config,
+/// and source revision.
+fn host_json() -> String {
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let threads = std::env::var("CHOCO_THREADS").unwrap_or_else(|_| "unset".to_string());
+    format!(
+        "  \"host\": {{ \"nproc\": {nproc}, \"simd_backend\": \"{:?}\", \
+         \"CHOCO_THREADS\": \"{}\", \"par_threads\": {}, \"git_rev\": \"{}\" }}",
+        choco_math::simd::backend(),
+        threads.escape_default(),
+        choco_math::par::num_threads(),
+        git_rev(),
     )
 }
 
@@ -620,7 +499,7 @@ fn main() {
     let mut reps: u64 = 3;
     let mut addr: Option<String> = None;
     let mut json_path: Option<String> = None;
-    let mut batch: Option<usize> = None;
+    let mut batch: usize = 4;
     let mut faults = false;
 
     let mut args = std::env::args().skip(1);
@@ -643,11 +522,9 @@ fn main() {
             "--addr" => addr = Some(need("--addr")),
             "--json" => json_path = Some(need("--json")),
             "--batch" => {
-                batch = Some(
-                    need("--batch")
-                        .parse()
-                        .unwrap_or_else(|_| fail("--batch: not a number")),
-                );
+                batch = need("--batch")
+                    .parse()
+                    .unwrap_or_else(|_| fail("--batch: not a number"));
             }
             "--faults" => faults = true,
             "--smoke" => {
@@ -661,11 +538,8 @@ fn main() {
             other => fail(&format!("unknown flag {other:?}")),
         }
     }
-    if clients == 0 || reps == 0 {
-        fail("--clients and --reps must be positive");
-    }
-    if batch == Some(0) {
-        fail("--batch must be positive");
+    if clients == 0 || reps == 0 || batch == 0 {
+        fail("--clients, --reps and --batch must be positive");
     }
 
     // In-process server unless an external address was given.
@@ -695,100 +569,25 @@ fn main() {
     });
 
     eprintln!(
-        "choco-serve-bench: {clients} clients x {reps} reps against {addr} \
-         ({} threads in the par pool)",
+        "choco-serve-bench: {clients} clients x {reps} rounds of {batch} sequential vs one \
+         batch of {batch} against {addr} ({} threads in the par pool)",
         choco_math::par::num_threads()
     );
-
-    let wall = Instant::now();
-    let mut handles = Vec::new();
-    for i in 0..clients {
-        let addr = addr.clone();
-        handles.push(std::thread::spawn(move || {
-            let tenant = i as u64 + 1;
-            let kind = i % KINDS.len();
-            let mut runs: Vec<(usize, u64, Result<(), String>)> = Vec::new();
-            for rep in 0..reps {
-                let t0 = Instant::now();
-                let outcome = run_workload(kind, &addr, tenant, rep);
-                let ms = u64::try_from(t0.elapsed().as_millis()).unwrap_or(u64::MAX);
-                runs.push((kind, ms, outcome));
-            }
-            runs
-        }));
-    }
-    let mut runs: Vec<(usize, u64, Result<(), String>)> = Vec::new();
-    for handle in handles {
-        match handle.join() {
-            Ok(mut r) => runs.append(&mut r),
-            Err(_) => fail("a client thread panicked"),
-        }
-    }
-    let wall_ms = u64::try_from(wall.elapsed().as_millis()).unwrap_or(u64::MAX);
-
-    let mut failed_total = 0u64;
-    for (kind, _, outcome) in &runs {
-        if let Err(e) = outcome {
-            failed_total += 1;
-            eprintln!(
-                "choco-serve-bench: {} run failed: {e}",
-                KINDS.get(*kind).copied().unwrap_or("?")
-            );
-        }
-    }
-
-    let mut kind_lines = Vec::new();
-    for (kind, label) in KINDS.iter().enumerate() {
-        let mut ms: Vec<u64> = runs
-            .iter()
-            .filter(|(k, _, outcome)| *k == kind && outcome.is_ok())
-            .map(|(_, ms, _)| *ms)
-            .collect();
-        let failed = runs
-            .iter()
-            .filter(|(k, _, outcome)| *k == kind && outcome.is_err())
-            .count() as u64;
-        if !ms.is_empty() || failed > 0 {
-            kind_lines.push(kind_json(label, &mut ms, failed));
-        }
-    }
-
-    // The remote-eval phase reuses the same server (and its registry) so
-    // its counters land in the same report.
-    let batch_phase = batch.map(|n| {
-        eprintln!(
-            "choco-serve-bench: remote-eval phase — {clients} clients, \
-             {reps} rounds of {n} sequential vs one batch of {n}"
-        );
-        run_batch_phase(clients, reps, n, &addr)
-    });
+    let (batch_section, failed_clients) = run_batch_phase(clients, reps, batch, &addr);
 
     // The faults phase boots its own chaos servers, so it runs regardless
-    // of --addr, after the shared-server phases are done measuring.
+    // of --addr, after the shared-server phase is done measuring.
     let faults_phase = faults.then(|| run_faults_phase(reps));
 
     let stats = server.map(OffloadServer::shutdown);
-    let total_runs = runs.len() as u64;
-    let throughput_per_s = if wall_ms == 0 {
-        0.0
-    } else {
-        (total_runs - failed_total) as f64 * 1_000.0 / wall_ms as f64
-    };
     let mut sections = vec![
         format!(
-            "  \"config\": {{ \"clients\": {clients}, \"reps\": {reps}, \"addr\": \"{addr}\" }}"
+            "  \"config\": {{ \"clients\": {clients}, \"reps\": {reps}, \"batch\": {batch}, \
+             \"addr\": \"{addr}\" }}"
         ),
-        format!(
-            "  \"total\": {{ \"runs\": {total_runs}, \"failed\": {failed_total}, \
-             \"wall_ms\": {wall_ms}, \"throughput_per_s\": {throughput_per_s:.3} }}"
-        ),
-        format!("  \"workloads\": {{\n{}\n  }}", kind_lines.join(",\n")),
+        host_json(),
+        batch_section,
     ];
-    let mut failed_batch_clients = 0u64;
-    if let Some((section, failed)) = batch_phase {
-        sections.push(section);
-        failed_batch_clients = failed;
-    }
     let mut failed_fault_rounds = 0u64;
     let mut wrong_results = 0u64;
     if let Some((section, failed, wrong)) = faults_phase {
@@ -798,9 +597,7 @@ fn main() {
     }
     if let Some(stats) = &stats {
         sections.push(server_json(stats));
-        if batch.is_some() {
-            sections.push(eval_json(stats));
-        }
+        sections.push(eval_json(stats));
     }
     let report = format!("{{\n{}\n}}\n", sections.join(",\n"));
 
@@ -817,8 +614,7 @@ fn main() {
              differed from the local reference under injected faults"
         );
     }
-    if failed_total > 0 || failed_batch_clients > 0 || failed_fault_rounds > 0 || wrong_results > 0
-    {
+    if failed_clients > 0 || failed_fault_rounds > 0 || wrong_results > 0 {
         std::process::exit(1);
     }
 }

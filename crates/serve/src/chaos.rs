@@ -34,7 +34,7 @@ pub struct ChaosPlan {
     /// inside a frame to simulate a mid-frame connection loss.
     pub kill_after_bytes: Option<u64>,
     /// Sleep this long before forwarding each chunk, both directions —
-    /// a crude high-latency link (delayed ACK/echo delivery).
+    /// a crude high-latency link (delayed request and response delivery).
     pub delay_ms: u64,
     /// Flip one bit of the client→server byte at this offset (counted
     /// across connections; fires once), leaving the connection up — a

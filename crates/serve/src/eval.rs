@@ -1,6 +1,6 @@
 //! Per-connection remote-evaluation state and request handling.
 //!
-//! A connection is promoted from relay to evaluator by its first
+//! An admitted connection becomes an evaluator session with its first
 //! [`SessionSetup`] payload: the server rebuilds the tenant's parameter
 //! set from the recipe, deserializes the uploaded relinearization and
 //! Galois keys, and pins an [`EvalSession`] to the connection. Subsequent

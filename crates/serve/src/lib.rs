@@ -1,19 +1,16 @@
 //! `choco-serve`: the offload protocol's remote peer over real TCP.
 //!
-//! The [`crate::server::OffloadServer`] plays two roles. For the relay
-//! protocol it is a **verified relay**: it holds each tenant's frame-tag
-//! key, verifies every keyed-BLAKE3 frame a client sends, bills it to a
-//! per-tenant [`choco::LedgerBook`], and acknowledges by echoing the
-//! verified frame bytes back (the HE state machine stays inside the
-//! client process's [`choco::Session`]; the paper's client-aided model
-//! keeps the secret key there anyway). For the remote-evaluation protocol
-//! (`choco::remote`) it is a **batching, caching HE evaluator**: clients
-//! upload their evaluation keys once, then stream evaluate requests that
-//! reference compiled programs by hash; the server coalesces compatible
-//! requests across connections and tenants into batched kernel
-//! invocations and caches compiled programs plus NTT-domain plaintext
-//! operands so steady-state traffic does zero recompilation and zero
-//! re-encoding. What the server adds around both loops:
+//! The [`crate::server::OffloadServer`] is a **batching, caching HE
+//! evaluator** for the remote-evaluation protocol (`choco::remote`):
+//! clients upload their evaluation keys once, then stream evaluate
+//! requests that reference compiled programs by hash; the server
+//! coalesces compatible requests across connections and tenants into
+//! batched kernel invocations and caches compiled programs plus NTT-domain
+//! plaintext operands so steady-state traffic does zero recompilation and
+//! zero re-encoding. The secret key never leaves the client: the paper's
+//! client-aided chains run one program per step here, with the client's
+//! decrypt → non-linear op → re-encrypt in between. What the server adds
+//! around the evaluator:
 //!
 //! * a per-tenant key [`registry::TenantRegistry`] and an authenticated
 //!   hello handshake (a client that does not know the tenant seed is
@@ -25,19 +22,17 @@
 //! * the global [`cache::ServeCache`] (LRU over `(params_hash,
 //!   program_ref)` with hit/miss/eviction counters) and the
 //!   [`sched::BatchScheduler`] (windowed cross-connection coalescing),
-//! * graceful drain: scheduled batches are flushed and pending results
-//!   delivered *before* live per-session state is checkpointed to disk as
-//!   sealed [`record::SessionRecord`]s, so a restarted server keeps exact
-//!   duplicate/retransmit accounting across the restart,
+//! * graceful drain: admission stops, scheduled batches are flushed and
+//!   pending results delivered before the workers exit,
 //! * fault isolation ([`isolate::Isolation`]): poison-program quarantine
 //!   with batch bisection in the scheduler (healthy co-batched jobs still
 //!   succeed), per-tenant circuit breakers with typed
 //!   `Unavailable { retry_after_ms }` refusals, and per-job dispatch
 //!   deadlines with typed `DeadlineExceeded` shedding,
-//! * the in-flight eval [`journal::JournalSet`]: accepted requests are
-//!   journaled before scheduling and marked off after delivery, so a
-//!   hard-killed server's successor can tell a resuming client exactly
-//!   which requests died and must be resent, and
+//! * the in-flight eval [`journal::JournalSet`], the only durable server
+//!   state: accepted requests are journaled before scheduling and marked
+//!   off after delivery, so a hard-killed server's successor can tell a
+//!   resuming client exactly which requests died and must be resent, and
 //! * [`chaos::ChaosProxy`], a socket-level fault injector for the chaos
 //!   tests (mid-frame connection kills, per-chunk delays, seeded
 //!   bit-flips), plus [`chaos::EvalChaos`], the in-process eval-pipeline
@@ -54,7 +49,6 @@ pub mod chaos;
 pub mod eval;
 pub mod isolate;
 pub mod journal;
-pub mod record;
 pub mod registry;
 pub mod sched;
 pub mod server;
@@ -64,7 +58,6 @@ pub use chaos::{ChaosPlan, ChaosProxy, EvalChaos, EvalChaosState, EvalStage};
 pub use eval::{EvalCounters, EvalSession};
 pub use isolate::{Isolation, IsolationConfig, IsolationStats};
 pub use journal::{DeadRequest, JournalSet, JournalStats};
-pub use record::SessionRecord;
 pub use registry::TenantRegistry;
 pub use sched::{BatchScheduler, SchedStats};
 pub use server::{EvalStats, OffloadServer, ServeConfig, ServeStats};

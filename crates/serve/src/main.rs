@@ -1,4 +1,4 @@
-//! `choco-serve` — run a verified-relay offload server on a real socket.
+//! `choco-serve` — run the remote HE evaluator on a real socket.
 //!
 //! ```text
 //! choco-serve --addr 127.0.0.1:7470 --tenant 1=my-session-seed
@@ -6,10 +6,11 @@
 //!
 //! The process serves until it reads `drain` (or EOF — the
 //! SIGTERM-equivalent in this libc-free build) on stdin, then drains
-//! gracefully: admission stops, live sessions are checkpointed to the
-//! `--checkpoint-dir`, and a later `choco-serve` over the same directory
-//! resumes their records so reconnecting clients get exact duplicate
-//! accounting.
+//! gracefully: admission stops, scheduled batches are flushed and pending
+//! responses delivered. With `--checkpoint-dir`, accepted requests are
+//! journaled there, and a later `choco-serve` over the same directory
+//! tells reconnecting clients which requests a hard-killed predecessor
+//! never answered.
 
 #![forbid(unsafe_code)]
 
@@ -18,7 +19,7 @@ use std::io::BufRead;
 use std::path::PathBuf;
 
 const USAGE: &str = "\
-choco-serve: verified-relay offload server
+choco-serve: remote HE evaluator
 
 USAGE:
   choco-serve [--addr HOST:PORT] [--max-sessions N] [--io-timeout-ms MS]
@@ -30,8 +31,9 @@ OPTIONS:
   --max-sessions N      admission limit; further hellos get a typed
                         Overloaded ack (default 64)
   --io-timeout-ms MS    handshake/write timeout (default 5000)
-  --checkpoint-dir DIR  persist per-session records here on drain and load
-                        them at startup
+  --checkpoint-dir DIR  keep the eval journal here: accepted requests are
+                        journaled, and a restart over the same directory
+                        reports the ones that were never answered
   --tenant ID=SEED      register a tenant (repeatable); the seed must equal
                         the client's session seed
 
@@ -59,7 +61,7 @@ fn print_stats(stats: &ServeStats, active: u32) {
     let total = stats.book.combined();
     println!(
         "active={active} accepted={} resumed={} overloaded={} unknown_tenant={} \
-         bad_auth={} draining={} malformed={}",
+         bad_auth={} draining={} malformed={} bad_frames={}",
         stats.accepted,
         stats.resumed,
         stats.rejected_overload,
@@ -67,26 +69,16 @@ fn print_stats(stats: &ServeStats, active: u32) {
         stats.rejected_bad_auth,
         stats.rejected_draining,
         stats.rejected_malformed,
+        stats.bad_frames,
     );
     println!(
-        "tenants={} fresh_frames={} fresh_payload_bytes={} retransmit_bytes={}",
+        "tenants={} requests={} upload_bytes={} responses={} download_bytes={}",
         stats.book.tenants(),
         total.uploads,
         total.upload_bytes,
-        total.retransmit_bytes,
+        total.downloads,
+        total.download_bytes,
     );
-    for rec in &stats.sessions {
-        println!(
-            "  tenant {} session {}: frames={} dup={} bad={} payload_bytes={} wire_bytes={}",
-            rec.tenant,
-            rec.session,
-            rec.frames,
-            rec.dup_frames,
-            rec.bad_frames,
-            rec.payload_bytes,
-            rec.wire_bytes,
-        );
-    }
 }
 
 fn main() {

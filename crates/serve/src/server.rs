@@ -1,4 +1,4 @@
-//! The offload server: verified relay + remote HE evaluator.
+//! The offload server: a batching, caching remote HE evaluator.
 //!
 //! [`OffloadServer`] listens on a real TCP socket. Each connection starts
 //! with the authenticated hello handshake from
@@ -7,56 +7,40 @@
 //! control, and answers with a typed ack. Admitted connections get a
 //! dedicated worker thread that reads length-prefixed frames, verifies
 //! their keyed-BLAKE3 tags (batches are verified on the `choco-math::par`
-//! pool), bills them to a per-tenant [`LedgerBook`], and then dispatches
-//! by frame kind:
+//! pool), and handles `EvalRequest` frames — the remote-evaluation
+//! protocol (`choco::remote`): a session-key upload promotes the
+//! connection to an evaluator ([`crate::eval::EvalSession`]), and evaluate
+//! calls are resolved through the global program/operand cache
+//! ([`crate::cache::ServeCache`]) and coalesced across connections by the
+//! [`crate::sched::BatchScheduler`] before real kernel work runs.
+//! Responses come back to the worker over a reply channel and are written
+//! as `EvalResponse` frames under a server-side sequence counter. A frame
+//! that fails its tag, or that verifies but carries any other kind, is
+//! counted in [`ServeStats::bad_frames`] and never answered.
 //!
-//! * Relay kinds (ciphertext/plaintext/key/control) are echoed back — the
-//!   acknowledgement the client's session layer treats as delivery.
-//! * `EvalRequest` frames carry the remote-evaluation protocol
-//!   (`choco::remote`): a session-key upload promotes the connection to
-//!   an evaluator ([`crate::eval::EvalSession`]), and evaluate calls are
-//!   resolved through the global program/operand cache
-//!   ([`crate::cache::ServeCache`]) and coalesced across connections by
-//!   the [`crate::sched::BatchScheduler`] before real kernel work runs.
-//!   Responses come back to the worker over a reply channel and are
-//!   written as `EvalResponse` frames under a server-side sequence
-//!   counter.
-//!
-//! **Ledger semantics.** The server cannot see inside the relay protocol —
-//! a frame is a frame, whether the client's session counts it as an
-//! upload, a download, a refresh leg or recovery traffic. The server book
-//! therefore bills every *fresh* frame's payload as `upload_bytes` (all
-//! physical traffic is client → server) and every duplicate's wire bytes
-//! as `retransmit_bytes`. On a clean loopback run the invariant that ties
-//! the two views together is exact frame counts: server fresh frames ==
-//! client `uploads + downloads` (+ recovery transfers after a resume), and
-//! server `retransmit` is zero.
-//!
-//! **Eval billing under batching.** Remote evaluation adds server → client
-//! traffic: every `EvalResponse` payload is billed to its tenant as
-//! `download_bytes`. The attribution rule is per-request, not per-batch:
-//! each tenant is billed exactly its own request payloads (upload, via the
-//! fresh-frame rule above) and its own response payloads (download),
-//! regardless of how the scheduler coalesced the compute. Batching shares
-//! kernels and caches — never bytes — so the per-tenant book is identical
-//! whether requests ran batched or sequentially.
+//! **Billing.** Every verified request payload is billed to its tenant as
+//! `upload_bytes` and every delivered response payload as
+//! `download_bytes`. Request sequence numbers are monotonic per client
+//! connection, so there are no duplicates to tell apart: a client's
+//! resends after a reconnect are new frames, which the client bills to its
+//! own `retransmit_bytes`/`recovery_bytes` lines. The attribution rule is
+//! per-request, not per-batch: batching shares kernels and caches — never
+//! bytes — so on a fault-free run the per-tenant book equals the client's
+//! ledger exactly, batched or sequential.
 //!
 //! **Drain.** [`OffloadServer::drain`] stops admitting, flushes every
-//! scheduled batch through the [`crate::sched::BatchScheduler`], lets
+//! scheduled batch through the [`crate::sched::BatchScheduler`], and lets
 //! every worker deliver its pending eval responses and finish its current
-//! read, and only then persists all session records (in parallel) to the
-//! checkpoint directory, returning once the server is idle. Records are
-//! written strictly after results are delivered, so a drained server never
-//! persists accounting for work a client did not receive. A server bound
-//! later over the same directory resumes the records, so duplicate
-//! accounting is exact even across a full server restart.
+//! read, returning once the server is idle. The eval journal
+//! ([`crate::journal::JournalSet`]) is the only durable server state: a
+//! server bound later over the same checkpoint directory reports requests
+//! a predecessor accepted but never answered.
 
 use crate::cache::{EvalCacheStats, ServeCache};
 use crate::chaos::{EvalChaos, EvalChaosState, EvalStage};
 use crate::eval::{handle_eval_payload, EvalContext, EvalCounters, EvalOutcome, EvalSession};
 use crate::isolate::{Isolation, IsolationConfig, IsolationStats};
 use crate::journal::{JournalSet, JournalStats};
-use crate::record::SessionRecord;
 use crate::registry::TenantRegistry;
 use crate::sched::{BatchScheduler, SchedHooks, SchedStats};
 use choco::remote::EvalResponse;
@@ -65,7 +49,6 @@ use choco::transport::tcp::{decode_hello, encode_ack, BlobIo, HelloStatus, HELLO
 use choco::transport::{TagKey, MAX_FRAME_BYTES};
 use choco::LedgerBook;
 use choco_math::par;
-use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -76,7 +59,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 /// How many already-buffered frames a worker verifies as one parallel
-/// batch before echoing.
+/// batch.
 const VERIFY_BATCH: usize = 32;
 
 /// Server tuning.
@@ -93,8 +76,9 @@ pub struct ServeConfig {
     /// Per-frame size bound (prefixes beyond it are rejected before any
     /// allocation).
     pub max_frame_bytes: u64,
-    /// Where to persist session records on drain (and load them at bind).
-    /// `None` disables persistence.
+    /// Where the eval journal lives (opened at bind, so a restarted server
+    /// reports its predecessor's unanswered requests). `None` disables
+    /// persistence.
     pub checkpoint_dir: Option<PathBuf>,
     /// Compiled programs cached per scheme before LRU eviction kicks in
     /// (0 = unbounded).
@@ -135,6 +119,7 @@ struct Counters {
     rejected_bad_auth: u64,
     rejected_draining: u64,
     rejected_malformed: u64,
+    bad_frames: u64,
 }
 
 /// A point-in-time (or final) view of the server's accounting.
@@ -154,10 +139,11 @@ pub struct ServeStats {
     pub rejected_draining: u64,
     /// Connections dropped before a well-formed hello arrived.
     pub rejected_malformed: u64,
+    /// Frames on admitted connections that failed tag verification or
+    /// were not eval requests — never answered, never billed.
+    pub bad_frames: u64,
     /// Per-tenant traffic ledgers (see the module docs for semantics).
     pub book: LedgerBook,
-    /// Per-session records, `(tenant, session)` order.
-    pub sessions: Vec<SessionRecord>,
     /// Remote-evaluation accounting.
     pub eval: EvalStats,
 }
@@ -176,7 +162,7 @@ impl ServeStats {
         let j = &self.eval.journal;
         format!(
             concat!(
-                "{{\"accepted\":{},\"resumed\":{},\"rejected\":{},",
+                "{{\"accepted\":{},\"resumed\":{},\"rejected\":{},\"bad_frames\":{},",
                 "\"tenants\":{},\"upload_bytes\":{},\"download_bytes\":{},",
                 "\"retransmit_bytes\":{},\"recovery_bytes\":{},",
                 "\"eval\":{{\"setups\":{},\"requests\":{},\"need_program\":{},",
@@ -198,6 +184,7 @@ impl ServeStats {
                 + self.rejected_bad_auth
                 + self.rejected_draining
                 + self.rejected_malformed,
+            self.bad_frames,
             self.book.tenants(),
             total.upload_bytes,
             total.download_bytes,
@@ -256,7 +243,6 @@ struct Shared {
     draining: AtomicBool,
     active: Mutex<u32>,
     counters: Mutex<Counters>,
-    sessions: Mutex<BTreeMap<(u64, u64), SessionRecord>>,
     book: Mutex<LedgerBook>,
     eval_cache: Arc<ServeCache>,
     eval_counters: Mutex<EvalCounters>,
@@ -277,59 +263,6 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     }
 }
 
-impl Shared {
-    /// Bills one verified frame: fresh payload as upload, duplicate wire
-    /// bytes as retransmit. Returns whether the frame was fresh.
-    fn bill_frame(&self, tenant: u64, session: u64, seq: u64, payload_len: usize, wire_len: usize) {
-        let mut sessions = lock(&self.sessions);
-        let rec = sessions
-            .entry((tenant, session))
-            .or_insert_with(|| SessionRecord::new(tenant, session));
-        let fresh = seq >= rec.seen_below;
-        rec.wire_bytes += wire_len as u64;
-        if fresh {
-            rec.seen_below = seq + 1;
-            rec.frames += 1;
-            rec.payload_bytes += payload_len as u64;
-        } else {
-            rec.dup_frames += 1;
-        }
-        drop(sessions);
-        let mut book = lock(&self.book);
-        if fresh {
-            book.bill(tenant).record_upload(payload_len);
-        } else {
-            book.bill(tenant).record_retransmit(wire_len);
-        }
-    }
-
-    /// Bills one delivered eval-response payload as tenant download
-    /// traffic. Responses are server-originated, so they never touch the
-    /// (client → server) session record — only the ledger book.
-    fn bill_download(&self, tenant: u64, payload_len: usize) {
-        lock(&self.book).bill(tenant).record_download(payload_len);
-    }
-
-    fn bill_bad_frame(&self, tenant: u64, session: u64, wire_len: usize) {
-        let mut sessions = lock(&self.sessions);
-        let rec = sessions
-            .entry((tenant, session))
-            .or_insert_with(|| SessionRecord::new(tenant, session));
-        rec.bad_frames += 1;
-        rec.wire_bytes += wire_len as u64;
-    }
-
-    fn persist_session(&self, tenant: u64, session: u64) {
-        let Some(dir) = self.config.checkpoint_dir.as_deref() else {
-            return;
-        };
-        let rec = lock(&self.sessions).get(&(tenant, session)).copied();
-        if let Some(rec) = rec {
-            let _ = rec.save(dir);
-        }
-    }
-}
-
 /// A running server instance. Dropping it stops the accept loop; call
 /// [`OffloadServer::shutdown`] for a graceful drain with final stats.
 pub struct OffloadServer {
@@ -339,9 +272,9 @@ pub struct OffloadServer {
 }
 
 impl OffloadServer {
-    /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port), loads any
-    /// persisted session records from the checkpoint directory, and starts
-    /// accepting connections.
+    /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port), opens
+    /// the eval journal in the checkpoint directory, and starts accepting
+    /// connections.
     ///
     /// # Errors
     ///
@@ -350,12 +283,6 @@ impl OffloadServer {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
-        let mut sessions = BTreeMap::new();
-        if let Some(dir) = config.checkpoint_dir.as_deref() {
-            for rec in SessionRecord::load_dir(dir) {
-                sessions.insert((rec.tenant, rec.session), rec);
-            }
-        }
         let isolation = Arc::new(Isolation::new(config.isolation));
         let journals = Arc::new(JournalSet::open(config.checkpoint_dir.as_deref()));
         let chaos = (config.eval_chaos != EvalChaos::default())
@@ -383,7 +310,6 @@ impl OffloadServer {
             draining: AtomicBool::new(false),
             active: Mutex::new(0),
             counters: Mutex::new(Counters::default()),
-            sessions: Mutex::new(sessions),
             book: Mutex::new(LedgerBook::new()),
         });
         let accept_shared = Arc::clone(&shared);
@@ -416,8 +342,8 @@ impl OffloadServer {
             rejected_bad_auth: c.rejected_bad_auth,
             rejected_draining: c.rejected_draining,
             rejected_malformed: c.rejected_malformed,
+            bad_frames: c.bad_frames,
             book: lock(&self.shared.book).clone(),
-            sessions: lock(&self.shared.sessions).values().copied().collect(),
             eval: EvalStats {
                 counters: *lock(&self.shared.eval_counters),
                 cache: self.shared.eval_cache.stats(),
@@ -436,19 +362,16 @@ impl OffloadServer {
 
     /// Simulates the process dying right now: workers stop writing and
     /// close their sockets (an orderly FIN — responses already written
-    /// flush to the client), the accept loop exits, and nothing further
-    /// is persisted. The journal keeps whatever accepts were flushed, so
-    /// a server bound later over the same checkpoint directory reports
-    /// the unanswered requests as dead.
+    /// flush to the client) and the accept loop exits. The journal keeps
+    /// whatever accepts were flushed, so a server bound later over the
+    /// same checkpoint directory reports the unanswered requests as dead.
     pub fn hard_kill(&self) {
         self.shared.hard_killed.store(true, Ordering::SeqCst);
     }
 
-    /// Stops admitting, flushes every scheduled batch, waits for every
+    /// Stops admitting, flushes every scheduled batch, and waits for every
     /// worker to deliver pending responses and exit (bounded by the worker
-    /// poll plus the handshake timeout), then persists all session records
-    /// in parallel on the `choco-math::par` pool — strictly after results
-    /// were delivered.
+    /// poll plus the handshake timeout).
     pub fn drain(&self) {
         if self.shared.hard_killed.load(Ordering::SeqCst) {
             // A dead process drains nothing; its journal is the only
@@ -466,12 +389,6 @@ impl OffloadServer {
         let start = Instant::now();
         while *lock(&self.shared.active) > 0 && start.elapsed() < budget {
             thread::sleep(Duration::from_millis(2));
-        }
-        if let Some(dir) = self.shared.config.checkpoint_dir.as_deref() {
-            let records: Vec<SessionRecord> =
-                lock(&self.shared.sessions).values().copied().collect();
-            let saved: Vec<bool> = par::par_map(&records, |_, rec| rec.save(dir).is_ok());
-            let _ = saved;
         }
     }
 
@@ -512,8 +429,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// Runs the hello handshake; on admission, runs the echo worker loop on
-/// this same thread until the connection dies or the server drains.
+/// Runs the hello handshake; on admission, runs the worker loop on this
+/// same thread until the connection dies or the server drains.
 fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let mut io = BlobIo::new(stream, shared.config.max_frame_bytes);
     let _ = io.stream().set_write_timeout(Some(Duration::from_millis(
@@ -577,13 +494,6 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
     }
 
     conn_worker(&mut io, shared, hello.tenant, hello.session, &key);
-
-    // Records are persisted only after the worker has delivered (or given
-    // up on) every pending result — never for undelivered work, and never
-    // by a "dead" process.
-    if !shared.hard_killed.load(Ordering::SeqCst) {
-        shared.persist_session(hello.tenant, hello.session);
-    }
     *lock(&shared.active) -= 1;
 }
 
@@ -614,9 +524,9 @@ impl ConnState {
     }
 }
 
-/// The per-connection loop: read frames, verify batches in parallel, bill,
-/// then echo (relay kinds) or evaluate (`EvalRequest` kinds). Exits on
-/// disconnect, I/O error, or drain — after flushing pending eval
+/// The per-connection loop: read frames, verify batches in parallel, bill
+/// and evaluate `EvalRequest` frames, count everything else as bad. Exits
+/// on disconnect, I/O error, or drain — after flushing pending eval
 /// responses, so draining mid-batch never abandons delivered-but-unwritten
 /// results.
 fn conn_worker(io: &mut BlobIo, shared: &Arc<Shared>, tenant: u64, session: u64, key: &TagKey) {
@@ -657,55 +567,46 @@ fn conn_worker(io: &mut BlobIo, shared: &Arc<Shared>, tenant: u64, session: u64,
         }
         let verified = par::par_map(&batch, |_, wire| decode_frame(wire, key));
         let mut dead = false;
-        for (wire, decoded) in batch.iter().zip(verified) {
-            match decoded {
-                Ok(frame) => {
-                    shared.bill_frame(tenant, session, frame.seq, frame.payload.len(), wire.len());
-                    if frame.kind == FrameKind::EvalRequest {
-                        let hard_killed = Arc::clone(&shared.hard_killed);
-                        let hard_kill = move || hard_killed.store(true, Ordering::SeqCst);
-                        let mut ctx = EvalContext {
-                            session: &mut conn.eval_session,
-                            cache: &shared.eval_cache,
-                            sched: &shared.sched,
-                            counters: &shared.eval_counters,
-                            reply: &conn.reply_tx,
-                            tenant,
-                            conn_session: session,
-                            isolation: &shared.isolation,
-                            journal: &shared.journals,
-                            chaos: shared.chaos.as_ref(),
-                            hard_kill: &hard_kill,
-                        };
-                        match handle_eval_payload(&frame.payload, &mut ctx) {
-                            EvalOutcome::Immediate(payload) => {
-                                if write_response(
-                                    io, shared, tenant, session, key, &mut conn, &payload,
-                                )
-                                .is_err()
-                                {
-                                    dead = true;
-                                    break;
-                                }
-                            }
-                            EvalOutcome::Submitted => conn.pending += 1,
-                            EvalOutcome::Dropped => {
-                                dead = true;
-                                break;
-                            }
-                        }
-                    } else {
-                        // Echo duplicates too: a client resuming from a
-                        // checkpoint legitimately resends frames it
-                        // already sent, and its session blocks on the
-                        // echo.
-                        if io.write_all(wire).is_err() {
-                            dead = true;
-                            break;
-                        }
+        for decoded in verified {
+            let frame = match decoded {
+                Ok(frame) if frame.kind == FrameKind::EvalRequest => frame,
+                _ => {
+                    lock(&shared.counters).bad_frames += 1;
+                    continue;
+                }
+            };
+            lock(&shared.book)
+                .bill(tenant)
+                .record_upload(frame.payload.len());
+            let hard_killed = Arc::clone(&shared.hard_killed);
+            let hard_kill = move || hard_killed.store(true, Ordering::SeqCst);
+            let mut ctx = EvalContext {
+                session: &mut conn.eval_session,
+                cache: &shared.eval_cache,
+                sched: &shared.sched,
+                counters: &shared.eval_counters,
+                reply: &conn.reply_tx,
+                tenant,
+                conn_session: session,
+                isolation: &shared.isolation,
+                journal: &shared.journals,
+                chaos: shared.chaos.as_ref(),
+                hard_kill: &hard_kill,
+            };
+            match handle_eval_payload(&frame.payload, &mut ctx) {
+                EvalOutcome::Immediate(payload) => {
+                    if write_response(io, shared, tenant, session, key, &mut conn, &payload)
+                        .is_err()
+                    {
+                        dead = true;
+                        break;
                     }
                 }
-                Err(_) => shared.bill_bad_frame(tenant, session, wire.len()),
+                EvalOutcome::Submitted => conn.pending += 1,
+                EvalOutcome::Dropped => {
+                    dead = true;
+                    break;
+                }
             }
         }
         if dead {
@@ -749,7 +650,9 @@ fn write_response(
     let wire = encode_frame(FrameKind::EvalResponse, conn.resp_seq, payload, key);
     conn.resp_seq += 1;
     io.write_all(&wire).map_err(|_| ())?;
-    shared.bill_download(tenant, payload.len());
+    lock(&shared.book)
+        .bill(tenant)
+        .record_download(payload.len());
     if let Some(id) = request_id {
         shared.journals.deliver(tenant, session, id);
     }
@@ -805,9 +708,8 @@ fn drain_pending_responses(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use choco::transport::frame::{encode_frame, FrameKind};
-    use choco::transport::tcp::{dial, Redialer, TcpOptions};
-    use choco::transport::{Channel, TransportError};
+    use choco::transport::tcp::{dial_io, Redialer, TcpOptions};
+    use choco::transport::TransportError;
 
     fn registry() -> TenantRegistry {
         let mut reg = TenantRegistry::new();
@@ -815,37 +717,46 @@ mod tests {
         reg
     }
 
+    fn tenant_key() -> TagKey {
+        TagKey::from_session_seed(b"serve unit tenant 1")
+    }
+
     #[test]
-    fn echoes_verified_frames_and_bills_per_tenant() {
+    fn relay_kind_frames_are_counted_bad_and_never_echoed() {
         let server =
             OffloadServer::bind("127.0.0.1:0", ServeConfig::default(), registry()).unwrap();
-        let key = TagKey::from_session_seed(b"serve unit tenant 1");
+        let key = tenant_key();
         let opts = TcpOptions::default();
-        let (mut up, _down) = dial(&server.addr().to_string(), &key, 1, 1, false, &opts).unwrap();
-        let wire = encode_frame(FrameKind::Control, 0, b"payload bytes", &key);
-        up.send(wire.clone());
-        let echo = loop {
-            if let Some(d) = up.recv() {
-                break d;
-            }
-        };
-        assert_eq!(echo.wire, wire);
-        // Duplicate (same seq) echoes again but bills retransmit.
-        up.send(wire.clone());
-        loop {
-            if up.recv().is_some() {
-                break;
-            }
+        let mut io = dial_io(&server.addr().to_string(), &key, 1, 1, false, &opts).unwrap();
+        // Correctly tagged frames of every non-eval kind: the server has
+        // no protocol that answers them.
+        let kinds = [
+            FrameKind::BfvCiphertext,
+            FrameKind::KeyMaterial,
+            FrameKind::Control,
+        ];
+        for (seq, kind) in kinds.into_iter().enumerate() {
+            io.write_all(&encode_frame(kind, seq as u64, b"payload bytes", &key))
+                .unwrap();
         }
+        let start = Instant::now();
+        while server.stats().bad_frames < kinds.len() as u64 {
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "bad frames never counted"
+            );
+            thread::sleep(Duration::from_millis(2));
+        }
+        assert!(
+            matches!(io.read_blob(100), Ok(None)),
+            "a relay-kind frame was answered"
+        );
+        drop(io);
         let stats = server.shutdown();
         assert_eq!(stats.accepted, 1);
-        let ledger = stats.book.get(1).copied().unwrap();
-        assert_eq!(ledger.uploads, 1);
-        assert_eq!(ledger.upload_bytes, b"payload bytes".len() as u64);
-        assert_eq!(ledger.retransmit_bytes, wire.len() as u64);
-        assert_eq!(stats.sessions.len(), 1);
-        assert_eq!(stats.sessions[0].frames, 1);
-        assert_eq!(stats.sessions[0].dup_frames, 1);
+        assert_eq!(stats.bad_frames, kinds.len() as u64);
+        assert_eq!(stats.book.tenants(), 0, "bad frames must not be billed");
+        assert!(stats.to_json_line().contains("\"bad_frames\":3,"));
     }
 
     #[test]
@@ -859,6 +770,7 @@ mod tests {
         assert_eq!(line.matches('"').count() % 2, 0, "quotes must balance");
         for field in [
             "\"accepted\":",
+            "\"bad_frames\":",
             "\"upload_bytes\":",
             "\"eval\":{",
             "\"sched\":{",
@@ -875,14 +787,13 @@ mod tests {
             OffloadServer::bind("127.0.0.1:0", ServeConfig::default(), registry()).unwrap();
         let addr = server.addr().to_string();
         let opts = TcpOptions::default();
-        let good = TagKey::from_session_seed(b"serve unit tenant 1");
         let wrong = TagKey::from_session_seed(b"not the tenant seed");
         assert!(matches!(
-            dial(&addr, &good, 99, 1, false, &opts),
+            dial_io(&addr, &tenant_key(), 99, 1, false, &opts),
             Err(TransportError::Rejected(msg)) if msg.contains("unknown tenant")
         ));
         assert!(matches!(
-            dial(&addr, &wrong, 1, 1, false, &opts),
+            dial_io(&addr, &wrong, 1, 1, false, &opts),
             Err(TransportError::Rejected(msg)) if msg.contains("authentication")
         ));
         let stats = server.shutdown();
@@ -899,13 +810,13 @@ mod tests {
         };
         let server = OffloadServer::bind("127.0.0.1:0", config, registry()).unwrap();
         let addr = server.addr().to_string();
-        let key = TagKey::from_session_seed(b"serve unit tenant 1");
+        let key = tenant_key();
         let opts = TcpOptions::default();
-        let _held = dial(&addr, &key, 1, 1, false, &opts).unwrap();
+        let _held = dial_io(&addr, &key, 1, 1, false, &opts).unwrap();
         // Give the worker a beat to be counted active, then over-admit.
         let start = Instant::now();
         loop {
-            match dial(&addr, &key, 1, 2, false, &opts) {
+            match dial_io(&addr, &key, 1, 2, false, &opts) {
                 Err(TransportError::Overloaded { active, limit }) => {
                     assert_eq!(active, 1);
                     assert_eq!(limit, 1);
@@ -930,9 +841,8 @@ mod tests {
             OffloadServer::bind("127.0.0.1:0", ServeConfig::default(), registry()).unwrap();
         server.drain();
         let addr = server.addr().to_string();
-        let key = TagKey::from_session_seed(b"serve unit tenant 1");
         assert!(matches!(
-            dial(&addr, &key, 1, 1, false, &TcpOptions::default()),
+            dial_io(&addr, &tenant_key(), 1, 1, false, &TcpOptions::default()),
             Err(TransportError::Rejected(msg)) if msg.contains("draining")
         ));
         // The redialer treats draining as transient and exhausts retries.
@@ -940,7 +850,7 @@ mod tests {
         redialer.policy.max_attempts = 2;
         redialer.policy.base_backoff_ms = 1;
         assert!(matches!(
-            redialer.dial_fresh(),
+            redialer.dial_fresh_io(),
             Err(TransportError::RetriesExhausted { attempts: 2, .. })
         ));
         let stats = server.shutdown();

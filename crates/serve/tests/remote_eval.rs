@@ -14,7 +14,7 @@
 //!   match *its own* local reference) and per-tenant billed (each book
 //!   ledger equals that client's own ledger, exactly);
 //! * **drain** — draining mid-batch still delivers every scheduled
-//!   result, and session records are persisted only after delivery.
+//!   result, and the eval journal marks every accepted request delivered.
 
 use choco::remote::RemoteEvaluator;
 use choco::transport::tcp::TcpOptions;
@@ -326,7 +326,7 @@ fn pipelined_batch_coalesces_into_one_kernel_dispatch() {
 }
 
 #[test]
-fn drain_mid_batch_delivers_results_before_persisting_records() {
+fn drain_mid_batch_delivers_results_and_journals_them_delivered() {
     let dir: PathBuf =
         std::env::temp_dir().join(format!("choco-remote-eval-drain-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -372,11 +372,13 @@ fn drain_mid_batch_delivers_results_before_persisting_records() {
     assert!(start.elapsed() < Duration::from_secs(10));
 
     let stats = server_handle.join().expect("server thread panicked");
-    // The session record was persisted (after delivery), and the book
-    // billed every response the client actually received.
-    assert_eq!(stats.sessions.len(), 1);
-    let persisted = std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
-    assert!(persisted >= 1, "no session record persisted to {dir:?}");
+    // Every accepted request was journaled delivered, and the book billed
+    // every response the client actually received.
+    let journal = stats.eval.journal;
+    assert_eq!(journal.accepted, 4, "{journal:?}");
+    assert_eq!(journal.delivered, journal.accepted, "{journal:?}");
+    let journaled = std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
+    assert_eq!(journaled, 1, "one journal file expected in {dir:?}");
     let book = stats.book.get(1).expect("tenant 1 billed");
     let ledger = client.ledger();
     assert_eq!(book.download_bytes, ledger.download_bytes);

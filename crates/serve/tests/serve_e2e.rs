@@ -1,37 +1,24 @@
-//! End-to-end serving tests over real loopback TCP.
+//! End-to-end serving tests over real loopback TCP, driven through the
+//! remote evaluator.
 //!
-//! * concurrency: ≥ 8 simultaneous client sessions complete real HE
-//!   workloads with zero failures, and the per-tenant book's fresh frame
-//!   counts reconcile exactly against each client's ledger;
+//! * concurrency: eight tenants evaluate concurrently with zero failures,
+//!   every result bit-identical to local execution, and each tenant's
+//!   server book equal to its client's ledger;
 //! * admission: the session over the limit gets a *typed*
 //!   `Overloaded { active, limit }`, and capacity freed by a disconnect is
 //!   reusable;
-//! * drain/restart: a server drain mid-workload kills the client's link;
-//!   the client redials a restarted server (same checkpoint directory) and
-//!   resumes to a bit-identical result, billing only recovery bytes extra;
-//! * chaos proxy: a mid-frame connection cut is absorbed by redial +
-//!   resume, and a uniformly delayed link merely slows the run down.
+//! * a uniformly delayed link merely slows the run down: no recovery, no
+//!   retransmission.
 
+use choco::remote::RemoteEvaluator;
 use choco::transport::tcp::TcpOptions;
-use choco::transport::TagKey;
-use choco::transport::{dial, Redialer, RetryPolicy, Session, TcpChannel, TransportError};
-use choco_apps::pagerank::{pagerank_rotation_steps, Graph};
-use choco_apps::resumable::{
-    drive_over_tcp, is_reconnectable, ResumablePagerank, ResumableWorkload,
-};
-use choco_he::params::HeParams;
-use choco_he::Bfv;
+use choco::transport::TransportError;
+use choco_apps::circuits::all_workloads;
+use choco_apps::remote::{workload_params, RemoteWorkload};
+use choco_he::params::SchemeType;
+use choco_he::{Bfv, HeScheme};
 use choco_serve::{ChaosPlan, ChaosProxy, OffloadServer, ServeConfig, TenantRegistry};
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
-
-fn graph() -> Graph {
-    Graph::from_adjacency(&[vec![1, 2], vec![2], vec![0], vec![0, 2]])
-}
-
-fn params() -> HeParams {
-    HeParams::bfv_insecure(1024, &[45, 45, 46], 24).unwrap()
-}
 
 fn tenant_seed(tenant: u64) -> String {
     format!("e2e tenant {tenant}")
@@ -45,45 +32,40 @@ fn registry(tenants: u64) -> TenantRegistry {
     reg
 }
 
-fn scratch_dir(label: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("choco-serve-e2e-{label}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+/// The PageRank circuit under BFV, with keys and inputs seeded per tenant.
+fn workload(tenant: u64) -> RemoteWorkload<Bfv> {
+    let circuit = all_workloads()
+        .into_iter()
+        .find(|w| w.name == "pagerank")
+        .unwrap();
+    let params = workload_params(SchemeType::Bfv).unwrap();
+    RemoteWorkload::prepare(&circuit, &params, tenant_seed(tenant).as_bytes()).unwrap()
 }
 
-/// Runs one full PageRank workload for `tenant` against `addr`; returns the
-/// client's final primary ledger lines and result wire.
-fn run_pagerank(
+fn connect(
     addr: &str,
     tenant: u64,
-    session_id: u64,
-    max_reconnects: u32,
-) -> Result<(choco::CommLedger, Vec<u8>), TransportError> {
-    let g = graph();
-    let params = params();
-    let steps = pagerank_rotation_steps(g.len());
-    let seed = tenant_seed(tenant);
-    let redialer = Redialer::new(addr, seed.as_bytes(), tenant, session_id);
-    let (up, down) = redialer.dial_fresh()?;
-    let session = Session::<Bfv, TcpChannel>::over(
-        &params,
-        seed.as_bytes(),
-        &steps,
-        up,
-        down,
-        RetryPolicy::default(),
-    )?;
-    let w = ResumablePagerank::<Bfv>::new(&g, 0.85, 4, 2, 10)?;
-    let (session, w) = drive_over_tcp(
-        &redialer,
+    session: u64,
+    w: &RemoteWorkload<Bfv>,
+) -> Result<RemoteEvaluator<Bfv>, TransportError> {
+    RemoteEvaluator::connect(
+        addr,
+        tenant_seed(tenant).as_bytes(),
+        tenant,
         session,
-        w,
-        |p| ResumablePagerank::<Bfv>::restore(&g, 0.85, 4, 2, 10, p),
-        |w, s| w.step(s),
-        |_, _| Ok(()),
-        max_reconnects,
-    )?;
-    Ok((*session.ledger(), w.final_ct_wire().to_vec()))
+        &w.params,
+        &w.relin,
+        &w.galois,
+        &TcpOptions::default(),
+    )
+}
+
+/// Evaluates `w` once through `client` and checks it against local
+/// execution.
+fn evaluate_bit_identical(client: &mut RemoteEvaluator<Bfv>, w: &RemoteWorkload<Bfv>) {
+    let outs = client.evaluate(&w.prepared, &w.input_refs()).unwrap();
+    let wires: Vec<Vec<u8>> = outs.iter().map(Bfv::ct_to_wire).collect();
+    assert_eq!(wires, w.local_output_wires().unwrap(), "remote != local");
 }
 
 #[test]
@@ -98,48 +80,46 @@ fn eight_concurrent_sessions_complete_with_zero_failures() {
     let handles: Vec<_> = (1..=8u64)
         .map(|tenant| {
             let addr = addr.clone();
-            std::thread::spawn(move || run_pagerank(&addr, tenant, 0, 0))
+            std::thread::spawn(move || {
+                let w = workload(tenant);
+                let local = w.local_output_wires()?;
+                let mut client = connect(&addr, tenant, 0, &w)?;
+                let inputs = w.input_refs();
+                let batch = [inputs.as_slice(), inputs.as_slice()];
+                for outs in client.evaluate_batch(&w.prepared, &batch)? {
+                    let wires: Vec<Vec<u8>> = outs.iter().map(Bfv::ct_to_wire).collect();
+                    assert_eq!(wires, local, "tenant {tenant}: remote != local");
+                }
+                Ok::<_, TransportError>(*client.ledger())
+            })
         })
         .collect();
     let mut ledgers = Vec::new();
     for (i, handle) in handles.into_iter().enumerate() {
         let outcome = handle.join().expect("client thread panicked");
-        let (ledger, wire) = outcome.unwrap_or_else(|e| panic!("client {} failed: {e}", i + 1));
-        assert!(!wire.is_empty());
-        ledgers.push(ledger);
-    }
-
-    // All 8 clients ran the same deterministic workload: identical primary
-    // ledgers, no retransmissions, no recovery.
-    for ledger in &ledgers {
-        assert_eq!(ledger.retransmit_bytes, 0);
-        assert_eq!(ledger.recovery_bytes, 0);
-        assert_eq!(ledger.uploads, ledgers[0].uploads);
-        assert_eq!(ledger.downloads, ledgers[0].downloads);
+        ledgers.push(outcome.unwrap_or_else(|e| panic!("client {} failed: {e}", i + 1)));
     }
 
     let stats = server.shutdown();
     assert_eq!(stats.accepted, 8);
     assert_eq!(stats.rejected_overload, 0);
+    assert_eq!(stats.bad_frames, 0);
+    assert_eq!(stats.eval.counters.errors, 0);
     assert_eq!(stats.book.tenants(), 8);
-    // Per-tenant reconciliation: every physical frame the server verified
-    // fresh is one client transfer (the relay cannot tell uploads from
-    // downloads apart — it sees their sum), and nothing was retransmitted
-    // or rejected.
-    for (tenant, ledger) in ledgers.iter().enumerate() {
-        let tenant = tenant as u64 + 1;
-        let server_side = stats.book.get(tenant).copied().unwrap();
+    // Per-tenant reconciliation: the server billed exactly the requests
+    // and responses each client counted, and nothing was resent.
+    for (tenant, ledger) in (1u64..).zip(&ledgers) {
+        assert_eq!(ledger.retransmit_bytes, 0, "tenant {tenant}");
+        assert_eq!(ledger.recovery_bytes, 0, "tenant {tenant}");
+        let book = stats.book.get(tenant).copied().unwrap();
+        assert_eq!(book.uploads, ledger.uploads, "tenant {tenant}");
+        assert_eq!(book.upload_bytes, ledger.upload_bytes, "tenant {tenant}");
+        assert_eq!(book.downloads, ledger.downloads, "tenant {tenant}");
         assert_eq!(
-            server_side.uploads,
-            ledger.uploads + ledger.downloads,
-            "tenant {tenant}: server fresh frames vs client transfers"
+            book.download_bytes, ledger.download_bytes,
+            "tenant {tenant}"
         );
-        assert_eq!(server_side.retransmit_bytes, 0, "tenant {tenant}");
     }
-    assert!(stats
-        .sessions
-        .iter()
-        .all(|r| r.bad_frames == 0 && r.dup_frames == 0));
 }
 
 #[test]
@@ -151,14 +131,12 @@ fn session_over_the_limit_gets_typed_overloaded_and_capacity_recovers() {
     };
     let server = OffloadServer::bind("127.0.0.1:0", config, registry(1)).unwrap();
     let addr = server.addr().to_string();
-    let key = TagKey::from_session_seed(tenant_seed(1).as_bytes());
-    let opts = TcpOptions::default();
+    let w = workload(1);
 
-    // Fill all 8 admission slots and let the server count them.
-    let mut held = Vec::new();
-    for session_id in 0..8 {
-        held.push(dial(&addr, &key, 1, session_id, false, &opts).unwrap());
-    }
+    // Fill all 8 admission slots with live evaluator sessions.
+    let mut held: Vec<_> = (0..8)
+        .map(|session| connect(&addr, 1, session, &w).unwrap())
+        .collect();
     let start = Instant::now();
     while server.active_sessions() < 8 {
         assert!(start.elapsed() < Duration::from_secs(5), "admission lagged");
@@ -166,7 +144,7 @@ fn session_over_the_limit_gets_typed_overloaded_and_capacity_recovers() {
     }
 
     // The 9th concurrent session is refused with the typed error.
-    match dial(&addr, &key, 1, 8, false, &opts) {
+    match connect(&addr, 1, 8, &w) {
         Err(TransportError::Overloaded { active, limit }) => {
             assert_eq!(active, 8);
             assert_eq!(limit, 8);
@@ -175,152 +153,25 @@ fn session_over_the_limit_gets_typed_overloaded_and_capacity_recovers() {
         Ok(_) => panic!("expected Overloaded, got an admitted session"),
     }
 
-    // Freeing one slot makes the next hello admissible again.
+    // Freeing one slot makes the next session admissible again, and it
+    // evaluates correctly next to the sessions still held.
     drop(held.pop());
     let start = Instant::now();
-    loop {
-        match dial(&addr, &key, 1, 9, false, &opts) {
-            Ok(_) => break,
+    let mut client = loop {
+        match connect(&addr, 1, 9, &w) {
+            Ok(client) => break client,
             Err(TransportError::Overloaded { .. }) if start.elapsed() < Duration::from_secs(5) => {
                 std::thread::sleep(Duration::from_millis(5));
             }
-            Err(e) => panic!("redial after capacity freed: {e}"),
+            Err(e) => panic!("connect after capacity freed: {e}"),
         }
-    }
+    };
+    evaluate_bit_identical(&mut client, &w);
+    evaluate_bit_identical(&mut held[0], &w);
+    drop((client, held));
     let stats = server.shutdown();
     assert!(stats.rejected_overload >= 1);
     assert_eq!(stats.accepted, 9);
-}
-
-#[test]
-fn drain_restart_and_resume_is_bit_identical() {
-    let dir = scratch_dir("drain-restart");
-    let g = graph();
-    let params = params();
-    let steps = pagerank_rotation_steps(g.len());
-    let seed = tenant_seed(1);
-    let config = || ServeConfig {
-        max_sessions: 4,
-        worker_poll_ms: 10,
-        checkpoint_dir: Some(dir.clone()),
-        ..ServeConfig::default()
-    };
-
-    // Uninterrupted baseline against its own session id.
-    let server = OffloadServer::bind("127.0.0.1:0", config(), registry(1)).unwrap();
-    let (base_ledger, base_wire) = run_pagerank(&server.addr().to_string(), 1, 0, 0).unwrap();
-
-    // Interrupted run: two steps against the first server...
-    let redial_policy = RetryPolicy {
-        max_attempts: 3,
-        base_backoff_ms: 5,
-        max_backoff_ms: 50,
-        round_timeout_ms: 10_000,
-    };
-    // A short recv deadline keeps the failing step quick: once the server
-    // drains, every retry sees a dry pipe until the budget is spent.
-    let fast_opts = TcpOptions {
-        recv_deadline_ms: 100,
-        ..TcpOptions::default()
-    };
-    let mut redialer = Redialer::new(server.addr().to_string(), seed.as_bytes(), 1, 1);
-    redialer.opts = fast_opts;
-    let (up, down) = redialer.dial_fresh().unwrap();
-    let mut session =
-        Session::<Bfv, TcpChannel>::over(&params, seed.as_bytes(), &steps, up, down, redial_policy)
-            .unwrap();
-    let mut w = ResumablePagerank::<Bfv>::new(&g, 0.85, 4, 2, 10).unwrap();
-    w.step(&mut session).unwrap();
-    assert!(!w.is_done(), "workload too small to interrupt");
-    let ckpt = session.checkpoint(&w.progress());
-
-    // ... then the server drains and shuts down underneath the client.
-    let stats1 = server.shutdown();
-    assert_eq!(stats1.accepted, 2);
-    let rec1 = stats1
-        .sessions
-        .iter()
-        .find(|r| r.session == 1)
-        .copied()
-        .expect("drained server persisted the live session record");
-    assert!(rec1.frames > 0);
-
-    let err = loop {
-        match w.step(&mut session) {
-            Ok(()) => continue,
-            Err(e) => break e,
-        }
-    };
-    assert!(is_reconnectable(&err), "expected a link error, got {err}");
-    drop(session);
-
-    // A restarted server over the same checkpoint directory picks the
-    // session record back up; the client redials and resumes.
-    let server2 = OffloadServer::bind("127.0.0.1:0", config(), registry(1)).unwrap();
-    let mut redialer2 = Redialer::new(server2.addr().to_string(), seed.as_bytes(), 1, 1);
-    redialer2.opts = fast_opts;
-    let (up, down) = redialer2.redial().unwrap();
-    let (mut session, progress) = Session::<Bfv, TcpChannel>::resume(&ckpt, up, down).unwrap();
-    let mut w = ResumablePagerank::<Bfv>::restore(&g, 0.85, 4, 2, 10, &progress).unwrap();
-    while !w.is_done() {
-        w.step(&mut session).unwrap();
-    }
-
-    assert_eq!(w.final_ct_wire(), &base_wire[..], "result diverged");
-    let ledger = session.ledger();
-    assert_eq!(ledger.upload_bytes, base_ledger.upload_bytes);
-    assert_eq!(ledger.download_bytes, base_ledger.download_bytes);
-    assert_eq!(ledger.uploads, base_ledger.uploads);
-    assert_eq!(ledger.downloads, base_ledger.downloads);
-    assert_eq!(ledger.rounds, base_ledger.rounds);
-    assert!(ledger.recovery_bytes > 0, "resume billed no recovery bytes");
-    assert_eq!(base_ledger.recovery_bytes, 0);
-
-    let stats2 = server2.shutdown();
-    assert!(stats2.resumed >= 1, "resume hello not counted");
-    let rec2 = stats2
-        .sessions
-        .iter()
-        .find(|r| r.session == 1)
-        .copied()
-        .expect("restarted server kept the session record");
-    assert!(
-        rec2.seen_below > rec1.seen_below,
-        "dedup cursor did not advance across the restart"
-    );
-    assert_eq!(rec2.bad_frames, 0);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn mid_frame_connection_cut_is_absorbed_by_redial_and_resume() {
-    let server = OffloadServer::bind("127.0.0.1:0", ServeConfig::default(), registry(1)).unwrap();
-    // Baseline without the proxy.
-    let (base_ledger, base_wire) = run_pagerank(&server.addr().to_string(), 1, 0, 0).unwrap();
-
-    // Cut the first connection mid-frame: the threshold lands inside a
-    // ciphertext frame (tens of KB each), well past the 55-byte hello.
-    let plan = ChaosPlan {
-        kill_after_bytes: Some(40_000),
-        ..ChaosPlan::default()
-    };
-    let proxy = ChaosProxy::spawn(server.addr(), plan).unwrap();
-    let (ledger, wire) = run_pagerank(&proxy.addr().to_string(), 1, 1, 3).unwrap();
-    assert!(proxy.killed(), "the planned mid-frame cut never fired");
-
-    assert_eq!(wire, base_wire, "result diverged after the mid-frame cut");
-    assert_eq!(ledger.upload_bytes, base_ledger.upload_bytes);
-    assert_eq!(ledger.download_bytes, base_ledger.download_bytes);
-    assert_eq!(ledger.uploads, base_ledger.uploads);
-    assert_eq!(ledger.downloads, base_ledger.downloads);
-    assert!(ledger.recovery_bytes > 0);
-
-    let stats = server.shutdown();
-    // The truncated frame died inside the proxy, so the server never saw a
-    // bad tag; the resumed connection replayed in-flight frames, which the
-    // dedup cursor may bill as retransmissions — never as fresh uploads.
-    assert!(stats.sessions.iter().all(|r| r.bad_frames == 0));
-    assert!(stats.resumed >= 1);
 }
 
 #[test]
@@ -331,11 +182,18 @@ fn uniformly_delayed_link_completes_without_recovery() {
         ..ChaosPlan::default()
     };
     let proxy = ChaosProxy::spawn(server.addr(), plan).unwrap();
-    let (ledger, wire) = run_pagerank(&proxy.addr().to_string(), 1, 0, 0).unwrap();
-    assert!(!wire.is_empty());
+    let w = workload(1);
+    let mut client = connect(&proxy.addr().to_string(), 1, 0, &w).unwrap();
+    evaluate_bit_identical(&mut client, &w);
+    evaluate_bit_identical(&mut client, &w);
+    let ledger = *client.ledger();
     assert_eq!(ledger.recovery_bytes, 0);
     assert_eq!(ledger.retransmit_bytes, 0);
+    drop(client);
     let stats = server.shutdown();
     assert_eq!(stats.accepted, 1);
-    assert!(stats.sessions.iter().all(|r| r.dup_frames == 0));
+    assert_eq!(stats.bad_frames, 0);
+    let book = stats.book.get(1).copied().unwrap();
+    assert_eq!(book.upload_bytes, ledger.upload_bytes);
+    assert_eq!(book.download_bytes, ledger.download_bytes);
 }
