@@ -8,7 +8,7 @@
 //! encrypted inputs for every `Input` node the circuit declares.
 //!
 //! The same struct also runs the **local reference execution**
-//! ([`RemoteWorkload::local_outputs`]) through the identical compiled
+//! ([`RemoteWorkload::local_output_wires`]) through the identical compiled
 //! artifact, which is what makes the e2e suite's strongest claim cheap to
 //! state: remote evaluation returns *bit-identical ciphertext wire bytes*
 //! to evaluating locally, batched or not, warm cache or cold.
