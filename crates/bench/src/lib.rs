@@ -53,21 +53,13 @@ pub fn timed_avg(iters: usize, mut f: impl FnMut()) -> f64 {
 }
 
 /// A plain-std micro-benchmark runner (offline substitute for Criterion:
-/// the container cannot fetch external crates, and the regeneration
-/// binaries only need stable relative timings, not statistical rigor).
+/// the workspace takes no external crates, and the reporters only need
+/// stable relative timings, not statistical rigor).
 ///
-/// Warms the closure up, then auto-scales the iteration count so each
-/// measurement window runs ≥ `min_window_ms`, and prints the mean time per
-/// iteration. Results of the closure are passed through `std::hint::black_box`
-/// to keep the optimizer honest.
-pub fn bench<T>(name: &str, f: impl FnMut() -> T) {
-    let (per_iter, iters) = measure(200.0, f);
-    println!("{name:<40} {:>12} ({iters} iters)", time_str(per_iter));
-}
-
-/// Measures a closure like [`bench`] but returns the numbers instead of
-/// printing them: `(seconds_per_iter, iters)`. `min_window_ms` bounds the
-/// measurement window so smoke runs can stay fast.
+/// Warms the closure up, then auto-scales the iteration count so the
+/// measurement window runs ≥ `min_window_ms`, and returns
+/// `(seconds_per_iter, iters)`. Results of the closure are passed through
+/// `std::hint::black_box` to keep the optimizer honest.
 pub fn measure<T>(min_window_ms: f64, mut f: impl FnMut() -> T) -> (f64, usize) {
     // Warm-up and initial calibration.
     let (_, first) = timed(|| std::hint::black_box(f()));
@@ -78,9 +70,22 @@ pub fn measure<T>(min_window_ms: f64, mut f: impl FnMut() -> T) -> (f64, usize) 
     (per_iter, iters)
 }
 
-/// Prints the bench-group banner.
-pub fn bench_group(name: &str) {
-    println!("\n--- bench group: {name} ---");
+/// The commit of the checkout the bench runs in (`-dirty` when the tree
+/// has uncommitted changes), or `unknown` outside a git checkout.
+pub fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args([
+            "describe",
+            "--always",
+            "--dirty",
+            "--abbrev=40",
+            "--exclude=*",
+        ])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |rev| rev.trim().to_string())
 }
 
 #[cfg(test)]

@@ -23,9 +23,9 @@ use choco_math::modops::{
 };
 use choco_math::ntt::apply_galois_ntt;
 use choco_math::par;
+use choco_math::poly;
 use choco_math::pool::PolyPool;
 use choco_math::rns::RnsBasis;
-use choco_math::simd;
 use choco_prng::Blake3Rng;
 
 /// A key-switching key: one `(b_j, a_j)` pair per data prime, stored in NTT
@@ -346,15 +346,15 @@ pub fn mod_down(x: &RnsPoly, ks_basis: &RnsBasis, level_basis: &RnsBasis) -> Rns
         let inv_p = inv_mod(p % qi, qi);
         let inv_p_shoup = shoup_precompute(inv_p, qi);
         // Materialize the rounding correction as one delta row, then finish
-        // with the vectorized subtract and Shoup-scale passes — the same
+        // with the vectorized subtract and the Shoup-scale pass — the same
         // sub_mod/mul_mod_shoup per element as the fused scalar loop.
         let mut delta = PolyPool::take_scratch(n);
         for (d, &v) in delta.iter_mut().zip(xp) {
             *d = reduce_signed(center(v, p), qi);
         }
         let mut row = PolyPool::take_copy(x.row(i));
-        simd::sub_mod_slices(&mut row, &delta, qi);
-        simd::scalar_mul_shoup_slices(&mut row, inv_p, inv_p_shoup, qi);
+        poly::sub_assign(&mut row, &delta, qi);
+        poly::scalar_mul_shoup_assign(&mut row, inv_p, inv_p_shoup, qi);
         PolyPool::recycle(delta);
         row
     });
@@ -382,8 +382,8 @@ pub fn mod_down_ntt(x: &RnsPoly, ks_basis: &RnsBasis, level_basis: &RnsBasis) ->
         }
         level_basis.ntt_tables()[i].forward(&mut delta);
         let mut row = PolyPool::take_copy(x.row(i));
-        simd::sub_mod_slices(&mut row, &delta, qi);
-        simd::scalar_mul_shoup_slices(&mut row, inv_p, inv_p_shoup, qi);
+        poly::sub_assign(&mut row, &delta, qi);
+        poly::scalar_mul_shoup_assign(&mut row, inv_p, inv_p_shoup, qi);
         PolyPool::recycle(delta);
         row
     });

@@ -5,12 +5,18 @@
 //! out bit-identical every time. Any data race or schedule-dependent
 //! ordering in the parallel NTT/key-switch kernels would show up here as a
 //! byte diff.
+//!
+//! The same bytes must also come out of a process forced onto the scalar
+//! kernels: the test binary re-runs itself with `CHOCO_SIMD=0` (the backend
+//! is fixed once per process, so only a second process can take the other
+//! path) and compares the child's pipeline bytes with its own.
 
 use choco_he::bfv::BfvContext;
 use choco_he::params::HeParams;
 use choco_he::serialize::ciphertext_to_bytes;
-use choco_math::par;
+use choco_math::{par, simd};
 use choco_prng::Blake3Rng;
+use std::process::Command;
 
 /// One full deterministic pipeline run; everything derives from fixed seeds,
 /// so the only degree of freedom left is the worker schedule.
@@ -62,4 +68,53 @@ fn pipeline_bytes_are_schedule_independent() {
     }
     par::set_schedule_perturbation(0);
     par::set_num_threads(0);
+}
+
+/// Prints this process's SIMD backend and pipeline bytes (hex) on marked
+/// lines. On its own it only checks that the pipeline runs; the
+/// cross-process test below runs it in a forced-scalar child.
+#[test]
+fn emit_pipeline_bytes() {
+    let hex: String = pipeline_bytes()
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect();
+    println!("backend {}", simd::backend().name());
+    println!("pipeline-bytes {hex}");
+}
+
+#[test]
+fn forced_scalar_process_computes_the_same_pipeline_bytes() {
+    let out = Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", "emit_pipeline_bytes", "--nocapture"])
+        .env("CHOCO_SIMD", "0")
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        out.status.success(),
+        "forced-scalar child failed:\n{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let marked = |prefix: &str| {
+        stdout
+            .lines()
+            .find_map(|line| line.strip_prefix(prefix))
+            .unwrap_or_else(|| panic!("child printed no {prefix:?} line:\n{stdout}"))
+            .to_string()
+    };
+    assert_eq!(
+        marked("backend "),
+        "scalar",
+        "CHOCO_SIMD=0 must force scalar"
+    );
+    let want: String = pipeline_bytes()
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect();
+    assert!(
+        marked("pipeline-bytes ") == want,
+        "scalar-path pipeline bytes differ from the {} path",
+        simd::backend().name()
+    );
 }

@@ -14,7 +14,7 @@
 //! * polynomial helpers over a single modulus ([`poly`])
 //! * a dependency-free scoped-thread worker pool for slice-parallel kernels
 //!   ([`par`])
-//! * runtime-dispatched SIMD butterflies and dyadic ops ([`simd`])
+//! * runtime-dispatched AVX2 forward-NTT butterflies and modular add/sub ([`simd`])
 //! * a size-classed buffer pool for zero-allocation steady state ([`pool`])
 //!
 //! Everything is implemented from scratch; no external arithmetic crates are
