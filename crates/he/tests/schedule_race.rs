@@ -70,17 +70,21 @@ fn pipeline_bytes_are_schedule_independent() {
     par::set_num_threads(0);
 }
 
-/// Prints this process's SIMD backend and pipeline bytes (hex) on marked
-/// lines. On its own it only checks that the pipeline runs; the
-/// cross-process test below runs it in a forced-scalar child.
-#[test]
-fn emit_pipeline_bytes() {
-    let hex: String = pipeline_bytes()
+/// [`pipeline_bytes`] as lowercase hex, for passing between processes.
+fn pipeline_hex() -> String {
+    pipeline_bytes()
         .iter()
         .map(|b| format!("{b:02x}"))
-        .collect();
+        .collect()
+}
+
+/// Prints this process's SIMD backend and pipeline bytes on marked lines.
+/// On its own it only checks that the pipeline runs; the cross-process
+/// test below runs it in a forced-scalar child.
+#[test]
+fn emit_pipeline_bytes() {
     println!("backend {}", simd::backend().name());
-    println!("pipeline-bytes {hex}");
+    println!("pipeline-bytes {}", pipeline_hex());
 }
 
 #[test]
@@ -108,12 +112,9 @@ fn forced_scalar_process_computes_the_same_pipeline_bytes() {
         "scalar",
         "CHOCO_SIMD=0 must force scalar"
     );
-    let want: String = pipeline_bytes()
-        .iter()
-        .map(|b| format!("{b:02x}"))
-        .collect();
+    // Not assert_eq!: a failure would print ~64 KB of hex twice.
     assert!(
-        marked("pipeline-bytes ") == want,
+        marked("pipeline-bytes ") == pipeline_hex(),
         "scalar-path pipeline bytes differ from the {} path",
         simd::backend().name()
     );
